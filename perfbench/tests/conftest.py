@@ -1,0 +1,10 @@
+"""Put the checkout's simulator and the benchmark package on the path, so
+``python3 -m pytest perfbench/tests`` runs from the checkout root."""
+
+import pathlib
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parents[2]
+for path in (ROOT / "src", ROOT):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
